@@ -2,7 +2,7 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.eval.Experiments
-import repro.eval.Experiments.fmt
+import repro.eval.Figure.Fig2
 
 /** Figs. 2 & 4: runtime and #pairs/recall vs the NSLD threshold T for the
   * fuzzy / greedy / exact TSJ variants.
@@ -15,19 +15,10 @@ import repro.eval.Experiments.fmt
 class Fig2And4SweepTBench extends SparkSpec {
 
   test("figs 2 & 4: runtime and pairs/recall vs T") {
-    val n = 30000
-    val ts = Seq(0.025, 0.075, 0.125, 0.175, 0.225)
-    val rows = Experiments.sweepT(spark, n, seed = 7, ts = ts, m = 1000)
-
-    println(s"\n### Fig 2 — TSJ runtime (s) vs T (n=$n, M=1000)")
-    println(Experiments.markdownTable(
-      Seq("T", "variant", "seconds"),
-      rows.map(r => Seq(r.param.toString, r.variant, fmt(r.seconds)))))
-
-    println(s"\n### Fig 4 — discovered pairs and recall vs T (n=$n, M=1000)")
-    println(Experiments.markdownTable(
-      Seq("T", "variant", "pairs", "recall"),
-      rows.map(r => Seq(r.param.toString, r.variant, r.pairs.toString, f"${r.recall}%.5f"))))
+    val n = Fig2.defaultSize
+    val ts = Fig2.ts
+    val rows = Fig2.rows(spark, n)
+    println(Fig2.report(n, rows))
 
     // Shape checks.
     val fuzzy = rows.filter(_.variant == "fuzzy-token-matching").sortBy(_.param)

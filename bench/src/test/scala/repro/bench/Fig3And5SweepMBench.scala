@@ -1,8 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.eval.Experiments
-import repro.eval.Experiments.fmt
+import repro.eval.Figure.Fig3
 
 /** Figs. 3 & 5: runtime and #pairs/recall vs max-frequency M for the fuzzy /
   * greedy / exact TSJ variants.
@@ -16,20 +15,9 @@ import repro.eval.Experiments.fmt
 class Fig3And5SweepMBench extends SparkSpec {
 
   test("figs 3 & 5: runtime and pairs/recall vs M") {
-    val n = 30000
-    val ms = Seq(100L, 250L, 500L, 1000L)
-    val rows = Experiments.sweepM(spark, n, seed = 7, t = 0.1, ms = ms)
-
-    println(s"\n### Fig 3 — TSJ runtime (s) vs M (n=$n, T=0.1)")
-    println(Experiments.markdownTable(
-      Seq("M", "variant", "seconds"),
-      rows.map(r => Seq(r.param.toLong.toString, r.variant, fmt(r.seconds)))))
-
-    println(s"\n### Fig 5 — discovered pairs and recall vs M (n=$n, T=0.1)")
-    println(Experiments.markdownTable(
-      Seq("M", "variant", "pairs", "recall"),
-      rows.map(r => Seq(r.param.toLong.toString, r.variant, r.pairs.toString,
-                        f"${r.recall}%.5f"))))
+    val n = Fig3.defaultSize
+    val rows = Fig3.rows(spark, n)
+    println(Fig3.report(n, rows))
 
     // Shape checks.
     assert(rows.filter(_.variant == "fuzzy-token-matching").forall(_.recall == 1.0))

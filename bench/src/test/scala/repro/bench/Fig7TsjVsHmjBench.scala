@@ -1,8 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.eval.Experiments
-import repro.eval.Experiments.fmt
+import repro.eval.Figure.Fig7
 
 /** Fig. 7: TSJ vs the metric-space baseline HMJ, runtime vs #workers.
   *
@@ -13,14 +12,9 @@ import repro.eval.Experiments.fmt
 class Fig7TsjVsHmjBench extends SparkSpec {
 
   test("fig 7: TSJ vs HMJ runtime vs workers") {
-    val n = 30000
-    val rows = Experiments.fig7(spark, n, seed = 7, t = 0.1, m = 1000,
-                                workers = Seq(2, 4, 8, 16), timeoutSec = 450)
-    println(s"\n### Fig 7 — TSJ vs HMJ runtime (s) vs workers (n=$n, T=0.1, M=1000)")
-    println(Experiments.markdownTable(
-      Seq("workers", "algo", "seconds", "pairs", "finished"),
-      rows.map(r => Seq(r.workers.toString, r.algo, fmt(r.seconds),
-                        r.pairs.toString, r.finished.toString))))
+    val n = Fig7.defaultSize
+    val rows = Fig7.rows(spark, n)
+    println(Fig7.report(n, rows))
 
     // Shape checks: wherever HMJ finished it must agree with TSJ (both are
     // exact under M=∞; under the M cutoff TSJ may return slightly fewer, so

@@ -13,8 +13,4 @@ object JobSession {
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .config("spark.ui.enabled", false)
       .getOrCreate()
-
-  /** First arg as corpus size, with a default. */
-  def intArg(args: Array[String], i: Int, default: Int): Int =
-    if (args.length > i) args(i).toInt else default
 }

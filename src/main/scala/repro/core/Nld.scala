@@ -18,37 +18,34 @@ object Nld {
   def fromLd(lenX: Int, lenY: Int, ld: Int): Double =
     if (lenX == 0 && lenY == 0) 0.0 else 2.0 * ld / (lenX + lenY + ld)
 
-  /** Lemma 8: largest LD compatible with `NLD <= t` for the given lengths.
-    *
-    * If `|x| <= |y|` then `LD <= floor(2·t·|y| / (2−t))`; if `|x| > |y|` then
-    * `LD <= floor(t·|y| / (1−t))` (`|y|` being the shorter). Both directions
-    * are applied, and the trivial bound `LD <= max(|x|, |y|)` caps the result.
+  /** Lemma 8, exact: the largest LD compatible with `NLD <= t` for the given
+    * lengths, i.e. the largest `d <= max(|x|, |y|)` with
+    * `fromLd(|x|, |y|, d) <= t`: `floor(t·(|x|+|y|) / (2−t))`, never above
+    * the lemma's `floor(2·t·max(|x|,|y|) / (2−t))`. Searching on the
+    * predicate verification applies, instead of rounding a closed form in
+    * doubles, keeps the pairs at exactly `t`.
     */
   def maxLdFor(lenX: Int, lenY: Int, t: Double): Int = {
     require(t >= 0 && t < 1, s"threshold out of range: $t")
-    val lo = math.min(lenX, lenY)
-    val hi = math.max(lenX, lenY)
-    val symBound = math.floor(2.0 * t * hi / (2.0 - t)).toInt
-    val asymBound =
-      if (lo == hi) Int.MaxValue
-      else math.floor(t * lo / (1.0 - t)).toInt
-    math.min(hi, math.min(symBound, asymBound))
+    lastTrue(0, math.max(lenX, lenY))(d => fromLd(lenX, lenY, d) <= t)
   }
 
   /** Lemma 8's segment-count bound in terms of the longer length only:
-    * `U(L) = floor(2·t·L / (2−t))`. PassJoin partitions the longer (indexed)
-    * string into `U + 1` segments.
+    * `U(L) = floor(2·t·L / (2−t))`, the largest `d` with
+    * `fromLd(L, L, d) <= t`. PassJoin partitions the longer (indexed) string
+    * into `U + 1` segments.
     */
   def maxLdForLongerLen(longerLen: Int, t: Double): Int = {
     require(t >= 0 && t < 1, s"threshold out of range: $t")
-    math.floor(2.0 * t * longerLen / (2.0 - t)).toInt
+    lastTrue(0, longerLen)(d => fromLd(longerLen, longerLen, d) <= t)
   }
 
   /** Lemma 9 length condition: with `|x| <= |y|` and `NLD(x,y) <= t`, the
-    * shorter length must satisfy `ceil((1−t)·|y|) <= |x|`.
+    * shorter length must satisfy `ceil((1−t)·|y|) <= |x|` — the smallest `|x|`
+    * whose pure-insertion distance `fromLd(|x|, |y|, |y|−|x|)` is `<= t`.
     */
   def minShorterLen(longerLen: Int, t: Double): Int =
-    math.ceil((1.0 - t) * longerLen).toInt
+    longerLen - lastTrue(0, longerLen)(k => fromLd(longerLen - k, longerLen, k) <= t)
 
   /** Largest longer-length `|y|` a shorter string of length `lenX` may pair
     * with under `NLD <= t` (inverse of Lemma 9): all `|y|` with
@@ -60,16 +57,23 @@ object Nld {
     hi
   }
 
-  /** Lemma 10: a strict lower bound on LD implied by `NLD > t`.
-    * If `|x| <= |y|`: `LD > floor(t·|y| / (2−t))`; else
-    * `LD > floor(2·t·|y| / (2−t))` (`|y|` the shorter).
+  /** Lemma 10: a strict lower bound on LD implied by `NLD > t`. The exact
+    * bound is the largest LD that still passes `fromLd(|x|, |y|, LD) <= t`,
+    * which is [[maxLdFor]]; the paper's `floor(t·|y| / (2−t))` (`|x| <= |y|`)
+    * and `floor(2·t·|y| / (2−t))` (`|y|` the shorter) never exceed it.
     */
-  def ldLowerBoundExclusive(lenX: Int, lenY: Int, t: Double): Int = {
-    val (shorter, longer) = (math.min(lenX, lenY), math.max(lenX, lenY))
-    if (lenX == lenY || longer == lenY)
-      math.floor(t * longer / (2.0 - t)).toInt
-    else
-      math.floor(2.0 * t * shorter / (2.0 - t)).toInt
+  def ldLowerBoundExclusive(lenX: Int, lenY: Int, t: Double): Int = maxLdFor(lenX, lenY, t)
+
+  /** Largest `k` in `[lo, hi]` with `ok(k)`, for `ok` true at `lo` and
+    * monotone (true up to some point, false after it).
+    */
+  private def lastTrue(lo: Int, hi: Int)(ok: Int => Boolean): Int = {
+    var (a, b) = (lo, hi)
+    while (a < b) {
+      val mid = a + (b - a + 1) / 2
+      if (ok(mid)) a = mid else b = mid - 1
+    }
+    a
   }
 
   /** True iff `NLD(x, y) <= t`, using the banded LD for early abandon. */

@@ -15,22 +15,21 @@ object BruteForce {
     */
   def nsldSelfJoin(accounts: Seq[Account], t: Double): Set[(Long, Long, Double)] = {
     val recs = accounts
-      .map(a => (a.id, Tokenizer.tokenize(a.name)))
-      .filter(_._2.nonEmpty)
-      .map { case (id, toks) => (id, toks, Tokenizer.aggLength(toks)) }
+      .map(a => Tokenizer.record(a.id, a.name))
+      .filter(_.tokens.nonEmpty)
       .toIndexedSeq
     val out = Set.newBuilder[(Long, Long, Double)]
     var i = 0
     while (i < recs.length) {
-      val (ida, ta, la) = recs(i)
+      val a = recs(i)
       var j = i + 1
       while (j < recs.length) {
-        val (idb, tb, lb) = recs(j)
-        val lo = math.min(la, lb).toDouble
-        val hi = math.max(la, lb).toDouble
+        val b = recs(j)
+        val lo = math.min(a.aggLen, b.aggLen).toDouble
+        val hi = math.max(a.aggLen, b.aggLen).toDouble
         if (lo / hi >= (1.0 - t) - 1e-9) {
-          val d = TokenDistances.nsld(ta, tb)
-          if (d <= t) out += ((math.min(ida, idb), math.max(ida, idb), d))
+          val d = TokenDistances.nsld(a.tokens, b.tokens)
+          if (d <= t) out += ((math.min(a.id, b.id), math.max(a.id, b.id), d))
         }
         j += 1
       }

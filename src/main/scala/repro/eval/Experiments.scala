@@ -12,9 +12,9 @@ import repro.tsj.Tsj
 import repro.tsj.Tsj._
 
 /** Harnesses that produce the numbers behind each evaluation figure of the
-  * paper (Figs. 1–7), shared by the `jobs/` spark-submit entrypoints and the
-  * `bench/` suites. Each returns plain row case classes; `markdownTable`
-  * renders them for EXPERIMENTS.md.
+  * paper (Figs. 1–7); [[Figure]] runs them with each figure's parameters for
+  * the `jobs/` entrypoint and the `bench/` suites. Each returns plain row
+  * case classes; `markdownTable` renders them for EXPERIMENTS.md.
   *
   * "Machines" are simulated by the number of partitions/concurrent tasks
   * (`workers`): the input is repartitioned to `w` and
@@ -54,15 +54,21 @@ object Experiments {
     ((System.nanoTime() - start) / 1e9, n)
   }
 
-  /** One small untimed TSJ (and optionally HMJ) pass so JIT/codegen warmup is
-    * not charged to the first measured configuration.
+  /** Untimed passes so JIT/codegen warmup is not charged to the first
+    * measured configuration: small TSJ (and optionally HMJ) joins, then TSJ
+    * with `cfg` on the full corpus.
     */
-  def warmup(spark: SparkSession, includeHmj: Boolean = false): Unit = {
-    val df = NameGen.corpusDf(spark, 500, seed = 99)
-    Tsj.selfJoin(spark, df, TsjConfig(t = 0.1, maxTokenFreq = 100)).count()
-    Tsj.selfJoin(spark, df, TsjConfig(t = 0.1, maxTokenFreq = 100,
+  def warmup(spark: SparkSession, n: Int, seed: Long, cfg: TsjConfig,
+             includeHmj: Boolean = false): Unit = {
+    val small = NameGen.corpusDf(spark, 500, seed = 99)
+    Tsj.selfJoin(spark, small, TsjConfig(t = 0.1, maxTokenFreq = 100)).count()
+    Tsj.selfJoin(spark, small, TsjConfig(t = 0.1, maxTokenFreq = 100,
       matching = ExactTokenMatching, dedup = GroupingOnBothStrings)).count()
-    if (includeHmj) Hmj.selfJoin(spark, df, Hmj.HmjConfig(t = 0.1)).count()
+    if (includeHmj) Hmj.selfJoin(spark, small, Hmj.HmjConfig(t = 0.1)).count()
+    val df = NameGen.corpusDf(spark, n, seed).cache()
+    df.count()
+    Tsj.selfJoin(spark, df, cfg).count()
+    df.unpersist()
   }
 
   /** Fig. 1: TSJ runtime vs workers for both dedup strategies. Each
@@ -72,13 +78,7 @@ object Experiments {
     */
   def fig1(spark: SparkSession, n: Int, seed: Long, t: Double, m: Long,
            workers: Seq[Int], reps: Int = 3): Seq[Fig1Row] = {
-    warmup(spark)
-    locally { // untimed full-scale pass so JIT is not charged to run #1
-      val df = NameGen.corpusDf(spark, n, seed).cache()
-      df.count()
-      Tsj.selfJoin(spark, df, TsjConfig(t = t, maxTokenFreq = m)).count()
-      df.unpersist()
-    }
+    warmup(spark, n, seed, TsjConfig(t = t, maxTokenFreq = m))
     for {
       w <- workers
       (name, strategy) <- Seq("grouping-on-one-string" -> GroupingOnOneString,
@@ -94,53 +94,26 @@ object Experiments {
     }
   }
 
-  /** Figs. 2 & 4: runtime and #pairs (hence recall) vs the NSLD threshold T,
-    * for the three variants. One row per (T, variant).
+  /** Figs. 2–5: runtime and #pairs (hence recall) of the three variants at
+    * each value `p` of a swept parameter, with `cfgAt(p)` the fuzzy config
+    * at `p`: the NSLD threshold T (Figs. 2 & 4) or the max-frequency M
+    * (Figs. 3 & 5). One row per (p, variant).
     */
-  def sweepT(spark: SparkSession, n: Int, seed: Long, ts: Seq[Double],
-             m: Long): Seq[SweepRow] = {
-    warmup(spark)
+  def sweep(spark: SparkSession, n: Int, seed: Long, params: Seq[Double])
+           (cfgAt: Double => TsjConfig): Seq[SweepRow] = {
+    warmup(spark, n, seed, cfgAt(params.head))
     val df = NameGen.corpusDf(spark, n, seed).cache()
     df.count()
-    // Untimed full-scale pass so JIT is not charged to the first sweep point.
-    Tsj.selfJoin(spark, df, TsjConfig(t = ts.head, maxTokenFreq = m)).count()
     val rows =
-      for (t <- ts) yield {
+      for (p <- params) yield {
         val runs = for ((name, matching, aligning) <- Variants) yield {
-          val cfg = TsjConfig(t = t, maxTokenFreq = m,
-                              matching = matching, aligning = aligning)
+          val cfg = cfgAt(p).copy(matching = matching, aligning = aligning)
           val (secs, pairs) = timeCount(Tsj.selfJoin(spark, df, cfg))
           (name, secs, pairs)
         }
         val fuzzyPairs = runs.find(_._1 == "fuzzy-token-matching").get._3
         runs.map { case (name, secs, pairs) =>
-          SweepRow(t, name, secs, pairs,
-                   if (fuzzyPairs == 0) 1.0 else pairs.toDouble / fuzzyPairs)
-        }
-      }
-    df.unpersist()
-    rows.flatten
-  }
-
-  /** Figs. 3 & 5: runtime and #pairs (hence recall) vs max-frequency M. */
-  def sweepM(spark: SparkSession, n: Int, seed: Long, t: Double,
-             ms: Seq[Long]): Seq[SweepRow] = {
-    warmup(spark)
-    val df = NameGen.corpusDf(spark, n, seed).cache()
-    df.count()
-    // Untimed full-scale pass so JIT is not charged to the first sweep point.
-    Tsj.selfJoin(spark, df, TsjConfig(t = t, maxTokenFreq = ms.head)).count()
-    val rows =
-      for (m <- ms) yield {
-        val runs = for ((name, matching, aligning) <- Variants) yield {
-          val cfg = TsjConfig(t = t, maxTokenFreq = m,
-                              matching = matching, aligning = aligning)
-          val (secs, pairs) = timeCount(Tsj.selfJoin(spark, df, cfg))
-          (name, secs, pairs)
-        }
-        val fuzzyPairs = runs.find(_._1 == "fuzzy-token-matching").get._3
-        runs.map { case (name, secs, pairs) =>
-          SweepRow(m.toDouble, name, secs, pairs,
+          SweepRow(p, name, secs, pairs,
                    if (fuzzyPairs == 0) 1.0 else pairs.toDouble / fuzzyPairs)
         }
       }
@@ -178,13 +151,7 @@ object Experiments {
     */
   def fig7(spark: SparkSession, n: Int, seed: Long, t: Double, m: Long,
            workers: Seq[Int], timeoutSec: Int = 600): Seq[Fig7Row] = {
-    warmup(spark, includeHmj = true)
-    locally { // untimed full-scale TSJ pass (HMJ's JIT is covered above)
-      val df = NameGen.corpusDf(spark, n, seed).cache()
-      df.count()
-      Tsj.selfJoin(spark, df, TsjConfig(t = t, maxTokenFreq = m)).count()
-      df.unpersist()
-    }
+    warmup(spark, n, seed, TsjConfig(t = t, maxTokenFreq = m), includeHmj = true)
     workers.flatMap { w =>
       withWorkers(spark, w) {
         val df = NameGen.corpusDf(spark, n, seed, numPartitions = w).cache()

@@ -26,9 +26,6 @@ import repro.core.{TokenDistances, Tokenizer}
   * clusters in the metric space, so partitions are badly balanced and the
   * pairwise work inside partitions dwarfs TSJ's token-domain join.
   */
-/** A tokenized record (HMJ's join input). */
-private[hmj] final case class HmjRec(id: Long, tokens: Seq[String], aggLen: Int)
-
 /** A record routed to partition `part`; `home` marks its home partition. */
 private[hmj] final case class HmjRouted(part: Int, home: Boolean,
                                         id: Long, tokens: Seq[String], aggLen: Int)
@@ -49,14 +46,7 @@ object Hmj {
   def selfJoin(spark: SparkSession, accounts: DataFrame, cfg: HmjConfig): DataFrame = {
     import spark.implicits._
 
-    val records: Dataset[HmjRec] = accounts
-      .select($"id".cast("long"), $"name".cast("string"))
-      .as[(Long, String)]
-      .map { case (id, name) =>
-        val toks = Tokenizer.tokenize(name)
-        HmjRec(id, toks, Tokenizer.aggLength(toks))
-      }
-      .filter(_.tokens.nonEmpty)
+    val records = Tokenizer.records(accounts)
 
     // Centroid sample: k records drawn with a seeded shuffle.
     val centroids: Array[Seq[String]] = records

@@ -3,7 +3,7 @@ package repro.tsj
 import scala.collection.mutable
 import scala.util.hashing.MurmurHash3
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
 import repro.core.{TokenDistances, Tokenizer}
@@ -25,12 +25,6 @@ import repro.passjoin.TokenNldJoin
   *  4. verify by computing SLD exactly (Hungarian) or with the
   *     greedy-token-aligning approximation (Sec. III-G.5).
   */
-/** A tokenized record: id, token multiset, aggregate token length L.
-  * Top-level so Catalyst codegen can construct it (janino cannot instantiate
-  * object-nested case classes and would fall back to interpreted mode).
-  */
-private[tsj] final case class TsjRec(id: Long, tokens: Seq[String], aggLen: Int)
-
 object Tsj {
 
   /** Candidate generation mode (Sec. III-G.4). */
@@ -56,9 +50,7 @@ object Tsj {
       maxTokenFreq: Long = 1000L,
       matching: TokenMatching = FuzzyTokenMatching,
       aligning: Aligning = HungarianAligning,
-      dedup: DedupStrategy = GroupingOnOneString,
-      lengthFilter: Boolean = true,
-      histogramFilter: Boolean = true) {
+      dedup: DedupStrategy = GroupingOnOneString) {
     require(t > 0 && t <= 0.5, s"NSLD threshold must be in (0, 0.5], got $t")
     require(maxTokenFreq >= 1, "maxTokenFreq must be positive")
   }
@@ -69,14 +61,7 @@ object Tsj {
   def selfJoin(spark: SparkSession, accounts: DataFrame, cfg: TsjConfig): DataFrame = {
     import spark.implicits._
 
-    val records: Dataset[TsjRec] = accounts
-      .select($"id".cast("long"), $"name".cast("string"))
-      .as[(Long, String)]
-      .map { case (id, name) =>
-        val toks = Tokenizer.tokenize(name)
-        TsjRec(id, toks, Tokenizer.aggLength(toks))
-      }
-      .filter(_.tokens.nonEmpty)
+    val records = Tokenizer.records(accounts)
 
     // Inverted index token -> string id (one posting per distinct token of a
     // string), with the max-frequency cutoff M applied to both generation
@@ -169,12 +154,11 @@ object Tsj {
       idb: Long, toksB: Seq[String], lenB: Int,
       cfg: TsjConfig): Option[(Long, Long, Double)] = {
     val t = cfg.t
-    val lo = math.min(lenA, lenB).toDouble
-    val hi = math.max(lenA, lenB).toDouble
-    // Lemma 6: NSLD >= 1 − lo/hi; prune when that bound already exceeds t.
-    if (cfg.lengthFilter && lo / hi < (1.0 - t) - 1e-9) return None
-    if (cfg.histogramFilter &&
-        TokenDistances.nsldLengthLowerBound(toksA.map(_.length), toksB.map(_.length)) > t + 1e-12)
+    // Both filters evaluate the verify formula at a lower bound on SLD, so a
+    // pair they prune would fail the final `d <= t` as well: Lemma 6 at
+    // SLD >= |lenA − lenB|, then the token-length histogram bound.
+    if (TokenDistances.nsldFromSld(lenA, lenB, math.abs(lenA - lenB)) > t) return None
+    if (TokenDistances.nsldLengthLowerBound(toksA.map(_.length), toksB.map(_.length)) > t)
       return None
     val s = cfg.aligning match {
       case HungarianAligning => TokenDistances.sld(toksA, toksB)

@@ -124,6 +124,24 @@ class NldSpec extends AnyFunSuite {
     }
   }
 
+  test("every bound admits the pairs at NLD exactly t (t = 0.025..0.5, lengths < 400)") {
+    val missed = for {
+      i <- ThresholdPairs.Steps
+      t = ThresholdPairs.t(i)
+      (x, y) <- ThresholdPairs.pairs(i, maxLen = 399)
+      (lo, hi, ld) = (math.min(x.length, y.length), math.max(x.length, y.length),
+                      Levenshtein.distance(x, y))
+      bound <- Seq(
+        "construction" -> (Nld.fromLd(lo, hi, ld) == t),
+        "maxLdFor" -> (ld <= Nld.maxLdFor(x.length, y.length, t)),
+        "maxLdForLongerLen" -> (ld <= Nld.maxLdForLongerLen(hi, t)),
+        "minShorterLen" -> (Nld.minShorterLen(hi, t) <= lo),
+        "maxLongerLen" -> (Nld.maxLongerLen(lo, t) >= hi),
+      ).collect { case (name, false) => s"$name(t=$t, |x|=$lo, |y|=$hi, LD=$ld)" }
+    } yield bound
+    assert(missed.isEmpty, missed.mkString("\n", "\n", ""))
+  }
+
   test("fromLd is consistent with nld") {
     val rnd = new Random(14)
     for (_ <- 1 to 300) {

@@ -1,6 +1,7 @@
 package repro.eval
 
 import repro.SparkSpec
+import repro.tsj.Tsj.TsjConfig
 
 /** Small-scale smoke tests of the figure harnesses: every experiment must run
   * end-to-end and satisfy its shape invariants at test scale (the bench
@@ -20,8 +21,8 @@ class ExperimentsSpec extends SparkSpec {
   }
 
   test("sweepT harness: recall semantics and monotone pair counts") {
-    val rows = Experiments.sweepT(spark, n = 300, seed = 2,
-                                  ts = Seq(0.1, 0.25), m = Long.MaxValue)
+    val rows = Experiments.sweep(spark, n = 300, seed = 2, params = Seq(0.1, 0.25))(
+      t => TsjConfig(t = t, maxTokenFreq = Long.MaxValue))
     assert(rows.size == 6)
     val fuzzy = rows.filter(_.variant == "fuzzy-token-matching")
     assert(fuzzy.forall(_.recall == 1.0))
@@ -32,8 +33,8 @@ class ExperimentsSpec extends SparkSpec {
   }
 
   test("sweepM harness: pair counts are monotone in M") {
-    val rows = Experiments.sweepM(spark, n = 300, seed = 3, t = 0.2,
-                                  ms = Seq(5L, 50L))
+    val rows = Experiments.sweep(spark, n = 300, seed = 3, params = Seq(5.0, 50.0))(
+      m => TsjConfig(t = 0.2, maxTokenFreq = m.toLong))
     assert(rows.size == 6)
     for (v <- rows.map(_.variant).distinct) {
       val byM = rows.filter(_.variant == v).sortBy(_.param)
@@ -62,6 +63,12 @@ class ExperimentsSpec extends SparkSpec {
     val hmj = rows.find(_.algo == "HMJ").get
     assert(hmj.finished)
     assert(tsj.pairs == hmj.pairs, "both joins are exact — counts must match")
+  }
+
+  test("Figures rejects an unknown figure id, listing the valid ids") {
+    val e = intercept[IllegalArgumentException](repro.jobs.Figures.main(Array("fig5")))
+    assert(e.getMessage.contains("'fig5'"))
+    assert(e.getMessage.contains("fig1, fig2, fig3, fig6, fig7"))
   }
 
   test("runWithTimeout returns None when the action exceeds the budget") {

@@ -3,13 +3,15 @@ package repro.tsj
 import org.apache.spark.sql.DataFrame
 
 import repro.{Oracle, SparkSpec}
-import repro.eval.BruteForce
+import repro.core.{Nld, ThresholdPairs}
+import repro.eval.{BruteForce, Experiments}
 import repro.names.{Account, NameGen}
+import repro.passjoin.TokenNldJoin
 import repro.tsj.Tsj._
 
 /** End-to-end Spark tests of the TSJ framework against the driver-side brute
   * force: fuzzy mode must be exact; approximations must keep precision 1;
-  * the two dedup strategies must agree; the filters must be lossless.
+  * the two dedup strategies must agree.
   */
 class TsjSpec extends SparkSpec {
 
@@ -150,18 +152,40 @@ class TsjSpec extends SparkSpec {
     }
   }
 
-  // --- Filters ---
+  // --- Pairs exactly at the threshold ---
 
-  test("length and histogram filters are lossless") {
-    val accounts = NameGen.corpus(300, 81L, ringFraction = 0.6)
-    val d = df(accounts)
-    val base = TsjConfig(0.25, NoCutoff)
-    val all = pairsWithDist(Tsj.selfJoin(spark, d, base))
-    val noLen = pairsWithDist(Tsj.selfJoin(spark, d, base.copy(lengthFilter = false)))
-    val noHist = pairsWithDist(Tsj.selfJoin(spark, d, base.copy(histogramFilter = false)))
-    val none = pairsWithDist(Tsj.selfJoin(spark, d,
-      base.copy(lengthFilter = false, histogramFilter = false)))
-    assert(all == noLen && all == noHist && all == none)
+  test("the token NLD join and fuzzy mode keep pairs at NLD and NSLD exactly t") {
+    import spark.implicits._
+    // Few shuffle partitions: the inputs are tiny and there are 40 joins.
+    val mismatches = ThresholdPairs.Steps.flatMap(i => Experiments.withWorkers(spark, 4) {
+      val t = ThresholdPairs.t(i)
+      // Longer tokens at most 40 characters keep the PassJoin chunk count small.
+      val pairs = ThresholdPairs.pairs(i, maxLen = 40)
+      val tokens = pairs.flatMap { case (x, y) => Seq(x, y) }
+      val similar = TokenNldJoin.selfJoin(spark, tokens.toDF("token"), t)
+        .select("t1", "t2").as[(String, String)].collect().toSet
+      val bruteTokens =
+        (for (a <- tokens; b <- tokens if a < b && Nld.nld(a, b) <= t) yield (a, b)).toSet
+      assert(pairs.forall { case (x, y) => bruteTokens(if (x < y) (x, y) else (y, x)) })
+
+      // Each pair as two one-token names (NSLD = NLD = t) and, split in the
+      // middle, as two two-token names (NSLD = t for appended characters).
+      val names = tokens ++ pairs.filter(_._1.length >= 2).flatMap { case (x, y) =>
+        val m = x.length / 2
+        Seq(s"${x.take(m)} ${x.drop(m)}", s"${y.take(m)} ${y.drop(m)}")
+      }
+      val accounts = names.zipWithIndex.map { case (name, id) => Account(id, name) }
+      val got = pairsWithDist(Tsj.selfJoin(spark, df(accounts), TsjConfig(t, NoCutoff)))
+      val truth = bruteSet(accounts, t)
+      def lengths(ps: Set[(String, String)]) = ps.map(p => (p._1.length, p._2.length))
+      Seq(
+        Option.when(similar != bruteTokens)(
+          s"token join at t=$t misses lengths ${lengths(bruteTokens -- similar)}"),
+        Option.when(got != truth)(
+          s"fuzzy TSJ at t=$t misses ${(truth -- got).size} and adds ${(got -- truth).size} pairs"),
+      ).flatten
+    })
+    assert(mismatches.isEmpty, mismatches.mkString("\n", "\n", ""))
   }
 
   // --- Max-frequency cutoff M ---
@@ -236,6 +260,22 @@ class TsjSpec extends SparkSpec {
         |WHERE CAST(a.id AS BIGINT) < CAST(b.id AS BIGINT)
         |""".stripMargin,
       "inv" -> inv)
+  }
+
+  test("oracle catches a wrong result") {
+    import spark.implicits._
+    import org.apache.spark.sql.functions._
+    val accounts = NameGen.corpus(300, 84L)
+    val inv = accounts
+      .flatMap(a => repro.core.Tokenizer.tokenize(a.name).distinct.map(tk => (tk, a.id)))
+      .toDF("token", "id")
+    val wrong = inv.groupBy("token").agg((count(lit(1)) + 1).as("cnt")) // off by one
+    intercept[IllegalArgumentException] {
+      Oracle.assertEquivalent(
+        wrong,
+        "SELECT token, count(1) AS cnt FROM inv GROUP BY token",
+        "inv" -> inv)
+    }
   }
 
   test("oracle: token frequency cutoff matches DuckDB") {

@@ -110,4 +110,12 @@ object TokenDistances {
     val lb = sldLengthLowerBound(lenXs, lenYs)
     nsldFromSld(lenXs.sum, lenYs.sum, lb)
   }
+
+  /** The candidate filters (Sec. III-E): Lemma 6 at `SLD >= |L(a) − L(b)|`,
+    * then the token-length histogram bound. Both evaluate NSLD at a lower
+    * bound on SLD, so a pair they reject has `NSLD(a, b) > t`.
+    */
+  def passesFilters(a: Tokenized, b: Tokenized, t: Double): Boolean =
+    nsldFromSld(a.aggLen, b.aggLen, math.abs(a.aggLen - b.aggLen)) <= t &&
+      nsldLengthLowerBound(a.tokens.map(_.length), b.tokens.map(_.length)) <= t
 }

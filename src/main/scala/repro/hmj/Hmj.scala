@@ -3,7 +3,7 @@ package repro.hmj
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.functions._
 
-import repro.core.{TokenDistances, Tokenizer}
+import repro.core.{TokenDistances, Tokenized, Tokenizer}
 
 /** Hybrid Metric Joiner — the paper's in-house metric-space join baseline
   * (Sec. V-E), reconstructed from its description: a hybrid of ClusterJoin
@@ -27,8 +27,7 @@ import repro.core.{TokenDistances, Tokenizer}
   * pairwise work inside partitions dwarfs TSJ's token-domain join.
   */
 /** A record routed to partition `part`; `home` marks its home partition. */
-private[hmj] final case class HmjRouted(part: Int, home: Boolean,
-                                        id: Long, tokens: Seq[String], aggLen: Int)
+private[hmj] final case class HmjRouted(part: Int, home: Boolean, rec: Tokenized)
 
 object Hmj {
 
@@ -65,7 +64,7 @@ object Hmj {
       val dHome = d(home)
       d.indices.collect {
         case p if (d(p) - dHome) / 2.0 <= t =>
-          HmjRouted(p, p == home, r.id, r.tokens, r.aggLen)
+          HmjRouted(p, p == home, r)
       }
     }
 
@@ -78,17 +77,17 @@ object Hmj {
 
   /** All similar pairs inside one partition. Oversized partitions are
     * re-dissected locally with sub-centroids (same Voronoi + general filter),
-    * then verified pairwise with the Lemma 6 length filter.
+    * then verified pairwise after TSJ's length and histogram filters.
     */
   private def partitionPairs(recs: Array[HmjRouted], cfg: HmjConfig): Iterator[(Long, Long, Double)] = {
     if (recs.length <= cfg.maxPartitionSize || recs.length <= cfg.subCentroids) {
       pairwise(recs, cfg.t)
     } else {
       val rnd = new scala.util.Random(cfg.seed ^ recs.length)
-      val centroids = rnd.shuffle(recs.toVector).take(cfg.subCentroids).map(_.tokens)
+      val centroids = rnd.shuffle(recs.toVector).take(cfg.subCentroids).map(_.rec.tokens)
       val buckets = Array.fill(centroids.size)(Vector.newBuilder[HmjRouted])
       recs.foreach { r =>
-        val d = centroids.map(c => TokenDistances.nsld(r.tokens, c))
+        val d = centroids.map(c => TokenDistances.nsld(r.rec.tokens, c))
         val home = d.indices.minBy(d)
         val dHome = d(home)
         d.indices.foreach { p =>
@@ -109,13 +108,9 @@ object Hmj {
       while (j < recs.length) {
         val b = recs(j)
         // MR-MAPSS symmetry: only emit where one member is at home.
-        if (a.home || b.home) {
-          val lo = math.min(a.aggLen, b.aggLen).toDouble
-          val hi = math.max(a.aggLen, b.aggLen).toDouble
-          if (lo / hi >= (1.0 - t) - 1e-9) {
-            val d = TokenDistances.nsld(a.tokens, b.tokens)
-            if (d <= t) out += ((math.min(a.id, b.id), math.max(a.id, b.id), d))
-          }
+        if ((a.home || b.home) && TokenDistances.passesFilters(a.rec, b.rec, t)) {
+          val d = TokenDistances.nsld(a.rec.tokens, b.rec.tokens)
+          if (d <= t) out += ((math.min(a.rec.id, b.rec.id), math.max(a.rec.id, b.rec.id), d))
         }
         j += 1
       }

@@ -2,6 +2,12 @@ package repro.passjoin
 
 import repro.core.Nld
 
+/** A chunk emitted by either side of the join: the signature key is
+  * `(chunk, segIdx, lenY)`, `token` the string it came from, and `pos` the
+  * chunk's start position in `token` (checked by `PassJoinSpec`).
+  */
+final case class Chunk(chunk: String, segIdx: Int, lenY: Int, pos: Int, token: String)
+
 /** The PassJoin segment/substring signature scheme (Li et al., VLDB 2011),
   * adapted to NLD thresholds via the paper's Lemmas 7–9.
   *
@@ -13,12 +19,6 @@ import repro.core.Nld
   * (Lemma 9 length condition), the substrings matching each segment's length
   * inside the `±U` position window.
   */
-/** A chunk emitted by either side of the join: the signature key is
-  * `(chunk, segIdx, lenY)`; `pos` is the chunk's start position, used for the
-  * position-window filter. Top-level so Catalyst codegen can construct it.
-  */
-final case class Chunk(chunk: String, segIdx: Int, lenY: Int, pos: Int, token: String)
-
 object PassJoin {
 
   /** Even partition layout of a length-`len` string into `numSegs` segments:

@@ -4,26 +4,29 @@ import scala.collection.mutable
 import scala.util.hashing.MurmurHash3
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 
-import repro.core.{TokenDistances, Tokenizer}
+import repro.core.{TokenDistances, Tokenized, Tokenizer}
 import repro.passjoin.TokenNldJoin
 
 /** Tokenized-String Joiner (Sec. III): the paper's generate–filter–verify
-  * NSLD self-join framework, expressed as a Catalyst DataFrame pipeline.
+  * NSLD self-join framework, expressed as a Spark Dataset pipeline with one
+  * shuffle per step.
   *
-  *  1. tokenize and build the inverted token index, dropping tokens shared by
-  *     more than `M` tokenized strings (Sec. III-G.2);
-  *  2. generate *shared-token* candidates (Sec. III-C, an equi-self-join of
-  *     the inverted index) and, under fuzzy token matching, *similar-token*
+  *  1. tokenize and build the inverted token index, whose postings carry the
+  *     whole record, dropping tokens shared by more than `M` tokenized
+  *     strings (Sec. III-G.2);
+  *  2. generate *shared-token* candidates (Sec. III-C, pairs within one
+  *     token's postings) and, under fuzzy token matching, *similar-token*
   *     candidates (Sec. III-D: Theorem 3 reduces them to an NLD self-join of
-  *     the distinct-token space, run with [[TokenNldJoin]]);
-  *  3. de-duplicate candidates with either *grouping-on-both-strings* or
+  *     the distinct-token space, run in memory with [[TokenNldJoin]]);
+  *  3. filter each candidate as it is generated, before any dedup shuffle,
+  *     with the aggregate-length filter (Lemma 6) and the
+  *     token-length-histogram lower-bound filter (Sec. III-E.2);
+  *  4. de-duplicate the survivors with either *grouping-on-both-strings* or
   *     *grouping-on-one-string* (Sec. III-G.3, with the hash-balanced
-  *     key-choice rule), applying the aggregate-length filter (Lemma 6) and
-  *     the token-length-histogram lower-bound filter (Sec. III-E.2);
-  *  4. verify by computing SLD exactly (Hungarian) or with the
-  *     greedy-token-aligning approximation (Sec. III-G.5).
+  *     key-choice rule) and verify each pair once by computing SLD exactly
+  *     (Hungarian) or with the greedy-token-aligning approximation
+  *     (Sec. III-G.5).
   */
 object Tsj {
 
@@ -60,79 +63,74 @@ object Tsj {
     */
   def selfJoin(spark: SparkSession, accounts: DataFrame, cfg: TsjConfig): DataFrame = {
     import spark.implicits._
+    val (t, m) = (cfg.t, cfg.maxTokenFreq)
 
     val records = Tokenizer.records(accounts)
 
-    // Inverted index token -> string id (one posting per distinct token of a
-    // string), with the max-frequency cutoff M applied to both generation
-    // phases.
-    val inv = records
-      .flatMap(r => r.tokens.distinct.map(tk => (tk, r.id)))
-      .toDF("token", "id")
-    val allowedTokens = inv.groupBy("token")
-      .agg(count(lit(1)).as("freq"))
-      .where($"freq" <= cfg.maxTokenFreq)
-      .select("token")
-    val invOk = inv.join(allowedTokens, "token")
-
-    // Shared-token candidates (Sec. III-C): group the inverted index by
-    // token — a shuffle equi-join in DataFrame terms.
-    val shared = invOk.toDF("token", "ida")
-      .join(invOk.toDF("token", "idb"), "token")
-      .where($"ida" < $"idb")
-      .select($"ida".as("id1"), $"idb".as("id2"))
-
-    // Similar-token candidates (Sec. III-D): NLD-join the distinct-token
-    // space, then map similar token pairs back through the inverted index.
-    val candidates = cfg.matching match {
-      case ExactTokenMatching => shared
+    // Similar-token pairs (Sec. III-D) among the tokens that pass M, as
+    // t2 -> the tokens t1 < t2 within NLD t of it.
+    val similarBelow: Map[String, Array[String]] = cfg.matching match {
+      case ExactTokenMatching => Map.empty
       case FuzzyTokenMatching =>
-        val simTok = TokenNldJoin.selfJoin(spark, allowedTokens, cfg.t)
-        val sim = simTok.select($"t1", $"t2")
-          .join(invOk.toDF("t1", "ida"), "t1")
-          .join(invOk.toDF("t2", "idb"), "t2")
-          .where($"ida" =!= $"idb")
-          .select(least($"ida", $"idb").as("id1"), greatest($"ida", $"idb").as("id2"))
-        shared.union(sim)
+        val allowedTokens = records.flatMap(_.tokens.distinct).toDF("token")
+          .groupBy("token").count().where($"count" <= m)
+        TokenNldJoin.selfJoin(spark, allowedTokens, t).select("t1", "t2").as[(String, String)]
+          .collect().groupMap(_._2)(_._1)
     }
 
-    val recsDf = records.toDF("id", "tokens", "aggLen")
+    // Inverted index, one posting (token, record) per distinct token of a
+    // record, grouped by token. A posting also joins the group of every
+    // smaller token similar to its own, so each group holds its token's own
+    // postings (shared-token candidates, Sec. III-C) and the postings they
+    // pair with as similar-token candidates. The filters run on each pair as
+    // it is generated, before any dedup shuffle.
+    val candidates = records
+      .flatMap { r =>
+        r.tokens.distinct.flatMap { tk =>
+          (tk, true, r) +: similarBelow.getOrElse(tk, Array.empty[String]).map((_, false, r))
+        }
+      }
+      .groupByKey(_._1)
+      .flatMapGroups { (_, postings) =>
+        val own = mutable.ArrayBuffer.empty[Tokenized]
+        val similar = mutable.ArrayBuffer.empty[Tokenized]
+        var freq = 0L
+        postings.foreach { case (_, isOwn, r) =>
+          if (!isOwn) similar += r
+          else { freq += 1; if (freq <= m) own += r }
+        }
+        // The M cutoff (Sec. III-G.2): a token of more than M strings links none.
+        if (freq > m) Iterator.empty
+        else {
+          val shared = own.indices.iterator.flatMap(i =>
+            (i + 1 until own.size).iterator.map(j => (own(i), own(j))))
+          val sim = own.iterator.flatMap(a => similar.iterator.map((a, _)))
+          (shared ++ sim).collect {
+            case (a, b) if a.id != b.id && TokenDistances.passesFilters(a, b, t) =>
+              if (a.id < b.id) (a, b) else (b, a)
+          }
+        }
+      }
 
-    cfg.dedup match {
+    val results = cfg.dedup match {
       case GroupingOnBothStrings =>
         // One worker per candidate pair: shuffle-group on the pair itself.
-        candidates.distinct()
-          .join(recsDf.select($"id".as("id1"), $"tokens".as("toksA"), $"aggLen".as("lenA")), "id1")
-          .join(recsDf.select($"id".as("id2"), $"tokens".as("toksB"), $"aggLen".as("lenB")), "id2")
-          .select($"id1", $"toksA", $"lenA", $"id2", $"toksB", $"lenB")
-          .as[(Long, Seq[String], Int, Long, Seq[String], Int)]
-          .flatMap { case (ida, toksA, lenA, idb, toksB, lenB) =>
-            verify(ida, toksA, lenA, idb, toksB, lenB, cfg)
-          }
-          .toDF("id1", "id2", "nsld")
+        candidates.groupByKey { case (a, b) => (a.id, b.id) }
+          .flatMapGroups { (_, pairs) => val (a, b) = pairs.next(); verify(a, b, cfg) }
 
       case GroupingOnOneString =>
         // One worker per string: each reducer holds one key string and
         // de-duplicates + verifies all its candidate partners with a hash
         // set (Sec. III-G.3, hash-balanced key choice).
-        val kv = candidates.as[(Long, Long)]
-          .map { case (i, j) => chooseKeyValue(i, j) }
-          .toDF("k", "v")
-        kv
-          .join(recsDf.select($"id".as("v"), $"tokens".as("vToks"), $"aggLen".as("vLen")), "v")
-          .join(recsDf.select($"id".as("k"), $"tokens".as("kToks"), $"aggLen".as("kLen")), "k")
-          .select($"k", $"kToks", $"kLen", $"v", $"vToks", $"vLen")
-          .as[(Long, Seq[String], Int, Long, Seq[String], Int)]
-          .groupByKey(_._1)
-          .flatMapGroups { (_, rows) =>
+        candidates
+          .map { case (a, b) => if (chooseKeyValue(a.id, b.id)._1 == a.id) (a, b) else (b, a) }
+          .groupByKey(_._1.id)
+          .flatMapGroups { (_, pairs) =>
             val seen = mutable.HashSet.empty[Long]
-            rows.flatMap { case (k, kToks, kLen, v, vToks, vLen) =>
-              if (seen.add(v)) verify(k, kToks, kLen, v, vToks, vLen, cfg)
-              else None
-            }
+            pairs.flatMap { case (k, v) => if (seen.add(v.id)) verify(k, v, cfg) else None }
           }
-          .toDF("id1", "id2", "nsld")
     }
+    results.toDF("id1", "id2", "nsld")
   }
 
   /** The paper's load-balancing key-choice rule: `τ` becomes the key iff
@@ -148,23 +146,13 @@ object Tsj {
     if (lt == parity) (i, j) else (j, i)
   }
 
-  /** Filters (Sec. III-E) + final verification (Sec. III-F) of one pair. */
-  private def verify(
-      ida: Long, toksA: Seq[String], lenA: Int,
-      idb: Long, toksB: Seq[String], lenB: Int,
-      cfg: TsjConfig): Option[(Long, Long, Double)] = {
-    val t = cfg.t
-    // Both filters evaluate the verify formula at a lower bound on SLD, so a
-    // pair they prune would fail the final `d <= t` as well: Lemma 6 at
-    // SLD >= |lenA − lenB|, then the token-length histogram bound.
-    if (TokenDistances.nsldFromSld(lenA, lenB, math.abs(lenA - lenB)) > t) return None
-    if (TokenDistances.nsldLengthLowerBound(toksA.map(_.length), toksB.map(_.length)) > t)
-      return None
+  /** Final verification (Sec. III-F) of one filtered candidate pair. */
+  private def verify(a: Tokenized, b: Tokenized, cfg: TsjConfig): Option[(Long, Long, Double)] = {
     val s = cfg.aligning match {
-      case HungarianAligning => TokenDistances.sld(toksA, toksB)
-      case GreedyAligning    => TokenDistances.sldGreedy(toksA, toksB)
+      case HungarianAligning => TokenDistances.sld(a.tokens, b.tokens)
+      case GreedyAligning    => TokenDistances.sldGreedy(a.tokens, b.tokens)
     }
-    val d = TokenDistances.nsldFromSld(lenA, lenB, s)
-    if (d <= t) Some((math.min(ida, idb), math.max(ida, idb), d)) else None
+    val d = TokenDistances.nsldFromSld(a.aggLen, b.aggLen, s)
+    if (d <= cfg.t) Some((math.min(a.id, b.id), math.max(a.id, b.id), d)) else None
   }
 }

@@ -5,8 +5,8 @@ import scala.util.Random
 import repro.{Oracle, SparkSpec}
 import repro.core.Nld
 
-/** Spark tests for the MassJoin-style distributed token NLD self-join, checked
-  * against a driver-side brute force and against a DuckDB `levenshtein` SQL
+/** Tests for the in-memory PassJoin token NLD self-join, checked against a
+  * driver-side brute force and against a DuckDB `levenshtein` SQL
   * formulation via the oracle.
   */
 class TokenNldJoinSpec extends SparkSpec {
@@ -48,8 +48,10 @@ class TokenNldJoinSpec extends SparkSpec {
   }
 
   test("identical tokens are excluded (covered by the shared-token phase)") {
-    val out = runJoin(Seq("anna", "anna", "bob"), 0.5)
+    val toks = Seq("anna", "anna", "bob", "", "ann", "bob")
+    val out = runJoin(toks, 0.5)
     assert(!out.exists { case (a, b) => a == b })
+    assert(out == brute(toks.filter(_.nonEmpty).distinct, 0.5))
   }
 
   test("reported NLD values are exact") {

@@ -82,12 +82,13 @@ class TsjSpec extends SparkSpec {
 
   test("both dedup strategies produce identical results") {
     val accounts = NameGen.corpus(350, 77L, ringFraction = 0.5)
-    for (t <- Seq(0.1, 0.25)) {
-      val one = pairsWithDist(Tsj.selfJoin(spark, df(accounts),
-        TsjConfig(t = t, maxTokenFreq = NoCutoff, dedup = GroupingOnOneString)))
-      val both = pairsWithDist(Tsj.selfJoin(spark, df(accounts),
-        TsjConfig(t = t, maxTokenFreq = NoCutoff, dedup = GroupingOnBothStrings)))
+    for (matching <- Seq(FuzzyTokenMatching, ExactTokenMatching); t <- Seq(0.1, 0.25)) {
+      val one = pairsWithDist(Tsj.selfJoin(spark, df(accounts), TsjConfig(t = t,
+        maxTokenFreq = NoCutoff, matching = matching, dedup = GroupingOnOneString)))
+      val both = pairsWithDist(Tsj.selfJoin(spark, df(accounts), TsjConfig(t = t,
+        maxTokenFreq = NoCutoff, matching = matching, dedup = GroupingOnBothStrings)))
       assert(one == both)
+      if (matching == FuzzyTokenMatching) assert(both == bruteSet(accounts, t))
     }
   }
 

@@ -8,13 +8,13 @@ package repro.core
 object Nld {
 
   /** Exact NLD. Two empty strings are at distance 0. */
-  def nld(x: String, y: String): Double = {
-    if (x.isEmpty && y.isEmpty) return 0.0
-    val ld = Levenshtein.distance(x, y)
-    2.0 * ld / (x.length + y.length + ld)
-  }
+  def nld(x: String, y: String): Double =
+    fromLd(x.length, y.length, Levenshtein.distance(x, y))
 
-  /** NLD computed from a known LD value. */
+  /** NLD computed from a known LD value. The one definition of
+    * `2d / (Lx + Ly + d)`: NSLD (Def. 4) applies it to aggregate lengths and
+    * SLD.
+    */
   def fromLd(lenX: Int, lenY: Int, ld: Int): Double =
     if (lenX == 0 && lenY == 0) 0.0 else 2.0 * ld / (lenX + lenY + ld)
 
@@ -24,25 +24,21 @@ object Nld {
     * the lemma's `floor(2·t·max(|x|,|y|) / (2−t))`. Searching on the
     * predicate verification applies, instead of rounding a closed form in
     * doubles, keeps the pairs at exactly `t`.
+    *
+    * With `|x| = |y| = L` it is PassJoin's segment budget
+    * `U(L) = floor(2·t·L / (2−t))`. It is also Lemma 10's bound: `NLD > t`
+    * implies `LD > maxLdFor(|x|, |y|, t)`, and the paper's
+    * `floor(t·|y| / (2−t))` never exceeds it.
     */
   def maxLdFor(lenX: Int, lenY: Int, t: Double): Int = {
     require(t >= 0 && t < 1, s"threshold out of range: $t")
     lastTrue(0, math.max(lenX, lenY))(d => fromLd(lenX, lenY, d) <= t)
   }
 
-  /** Lemma 8's segment-count bound in terms of the longer length only:
-    * `U(L) = floor(2·t·L / (2−t))`, the largest `d` with
-    * `fromLd(L, L, d) <= t`. PassJoin partitions the longer (indexed) string
-    * into `U + 1` segments.
-    */
-  def maxLdForLongerLen(longerLen: Int, t: Double): Int = {
-    require(t >= 0 && t < 1, s"threshold out of range: $t")
-    lastTrue(0, longerLen)(d => fromLd(longerLen, longerLen, d) <= t)
-  }
-
   /** Lemma 9 length condition: with `|x| <= |y|` and `NLD(x,y) <= t`, the
     * shorter length must satisfy `ceil((1−t)·|y|) <= |x|` — the smallest `|x|`
     * whose pure-insertion distance `fromLd(|x|, |y|, |y|−|x|)` is `<= t`.
+    * Never decreases as `|y|` grows.
     */
   def minShorterLen(longerLen: Int, t: Double): Int =
     longerLen - lastTrue(0, longerLen)(k => fromLd(longerLen - k, longerLen, k) <= t)
@@ -56,13 +52,6 @@ object Nld {
     while (minShorterLen(hi, t) > lenX) hi -= 1
     hi
   }
-
-  /** Lemma 10: a strict lower bound on LD implied by `NLD > t`. The exact
-    * bound is the largest LD that still passes `fromLd(|x|, |y|, LD) <= t`,
-    * which is [[maxLdFor]]; the paper's `floor(t·|y| / (2−t))` (`|x| <= |y|`)
-    * and `floor(2·t·|y| / (2−t))` (`|y|` the shorter) never exceed it.
-    */
-  def ldLowerBoundExclusive(lenX: Int, lenY: Int, t: Double): Int = maxLdFor(lenX, lenY, t)
 
   /** Largest `k` in `[lo, hi]` with `ok(k)`, for `ok` true at `lo` and
     * monotone (true up to some point, false after it).

@@ -72,10 +72,11 @@ object TokenDistances {
     total
   }
 
-  /** NSLD from a known SLD value (Def. 4). */
+  /** NSLD from a known SLD value (Def. 4): NLD's formula over aggregate
+    * lengths and SLD.
+    */
   def nsldFromSld(aggLenX: Int, aggLenY: Int, sldVal: Int): Double =
-    if (aggLenX == 0 && aggLenY == 0) 0.0
-    else 2.0 * sldVal / (aggLenX + aggLenY + sldVal)
+    Nld.fromLd(aggLenX, aggLenY, sldVal)
 
   /** Exact NSLD (Def. 4). */
   def nsld(xs: Seq[String], ys: Seq[String]): Double =

@@ -1,5 +1,7 @@
 package repro.core
 
+import java.util.Locale
+
 import org.apache.spark.sql.{DataFrame, Dataset}
 
 /** A tokenized string: record id, token multiset and aggregate token length
@@ -12,15 +14,18 @@ final case class Tokenized(id: Long, tokens: Seq[String], aggLen: Int)
 /** Tokenizer for tokenized strings (Sec. II-A): splits a string into a
   * multiset of tokens on whitespace and punctuation — the scheme the paper
   * used for names on Google accounts ("tokenized using whitespaces and
-  * punctuation characters"). Lower-cases for case-insensitive comparison;
-  * empty tokens are dropped.
+  * punctuation characters"). Letters, combining marks and digits are token
+  * characters, so a decomposed "Müller" stays one token. Lower-cases with
+  * the root locale for case-insensitive comparison that does not depend on
+  * the JVM's default locale; empty tokens are dropped.
   */
 object Tokenizer {
 
   /** Tokens of `s`, in input order (multiset semantics: duplicates kept). */
   def tokenize(s: String): Seq[String] =
     if (s == null) Seq.empty
-    else s.toLowerCase.split("[^\\p{L}\\p{N}]+").iterator.filter(_.nonEmpty).toSeq
+    else s.toLowerCase(Locale.ROOT).split("[^\\p{L}\\p{M}\\p{N}]+")
+      .iterator.filter(_.nonEmpty).toSeq
 
   /** Number of tokens, `T(x^t)` in the paper's notation. */
   def tokenCount(s: String): Int = tokenize(s).size

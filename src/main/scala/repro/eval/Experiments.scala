@@ -54,6 +54,17 @@ object Experiments {
     ((System.nanoTime() - start) / 1e9, n)
   }
 
+  /** Runs `body` on the NameGen corpus `(n, seed)` in `numPartitions`
+    * partitions (0: Spark's default), cached and materialized first and
+    * unpersisted after.
+    */
+  private def withCorpus[T](spark: SparkSession, n: Int, seed: Long, numPartitions: Int = 0)
+                           (body: DataFrame => T): T = {
+    val df = NameGen.corpusDf(spark, n, seed, numPartitions).cache()
+    df.count()
+    try body(df) finally df.unpersist()
+  }
+
   /** Untimed passes so JIT/codegen warmup is not charged to the first
     * measured configuration: small TSJ (and optionally HMJ) joins, then TSJ
     * with `cfg` on the full corpus.
@@ -65,10 +76,7 @@ object Experiments {
     Tsj.selfJoin(spark, small, TsjConfig(t = 0.1, maxTokenFreq = 100,
       matching = ExactTokenMatching, dedup = GroupingOnBothStrings)).count()
     if (includeHmj) Hmj.selfJoin(spark, small, Hmj.HmjConfig(t = 0.1)).count()
-    val df = NameGen.corpusDf(spark, n, seed).cache()
-    df.count()
-    Tsj.selfJoin(spark, df, cfg).count()
-    df.unpersist()
+    withCorpus(spark, n, seed)(df => Tsj.selfJoin(spark, df, cfg).count())
   }
 
   /** Fig. 1: TSJ runtime vs workers for both dedup strategies. Each
@@ -84,11 +92,10 @@ object Experiments {
       (name, strategy) <- Seq("grouping-on-one-string" -> GroupingOnOneString,
                               "grouping-on-both-strings" -> GroupingOnBothStrings)
     } yield withWorkers(spark, w) {
-      val df = NameGen.corpusDf(spark, n, seed, numPartitions = w).cache()
-      df.count()
       val cfg = TsjConfig(t = t, maxTokenFreq = m, dedup = strategy)
-      val runs = Seq.fill(math.max(1, reps))(timeCount(Tsj.selfJoin(spark, df, cfg)))
-      df.unpersist()
+      val runs = withCorpus(spark, n, seed, numPartitions = w) { df =>
+        Seq.fill(math.max(1, reps))(timeCount(Tsj.selfJoin(spark, df, cfg)))
+      }
       val median = runs.map(_._1).sorted.apply(runs.size / 2)
       Fig1Row(w, name, median, runs.head._2)
     }
@@ -102,10 +109,8 @@ object Experiments {
   def sweep(spark: SparkSession, n: Int, seed: Long, params: Seq[Double])
            (cfgAt: Double => TsjConfig): Seq[SweepRow] = {
     warmup(spark, n, seed, cfgAt(params.head))
-    val df = NameGen.corpusDf(spark, n, seed).cache()
-    df.count()
-    val rows =
-      for (p <- params) yield {
+    withCorpus(spark, n, seed) { df =>
+      params.flatMap { p =>
         val runs = for ((name, matching, aligning) <- Variants) yield {
           val cfg = cfgAt(p).copy(matching = matching, aligning = aligning)
           val (secs, pairs) = timeCount(Tsj.selfJoin(spark, df, cfg))
@@ -117,8 +122,7 @@ object Experiments {
                    if (fuzzyPairs == 0) 1.0 else pairs.toDouble / fuzzyPairs)
         }
       }
-    df.unpersist()
-    rows.flatten
+    }
   }
 
   /** Fig. 6: ROC/AUC of NSLD vs weighted FJaccard/FCosine/FDice on the
@@ -150,12 +154,10 @@ object Experiments {
     * smallest config either).
     */
   def fig7(spark: SparkSession, n: Int, seed: Long, t: Double, m: Long,
-           workers: Seq[Int], timeoutSec: Int = 600): Seq[Fig7Row] = {
+           workers: Seq[Int], timeoutSec: Int): Seq[Fig7Row] = {
     warmup(spark, n, seed, TsjConfig(t = t, maxTokenFreq = m), includeHmj = true)
     workers.flatMap { w =>
-      withWorkers(spark, w) {
-        val df = NameGen.corpusDf(spark, n, seed, numPartitions = w).cache()
-        df.count()
+      withWorkers(spark, w)(withCorpus(spark, n, seed, numPartitions = w) { df =>
         val (tsjSecs, tsjPairs) =
           timeCount(Tsj.selfJoin(spark, df, TsjConfig(t = t, maxTokenFreq = m)))
         val hmjRow = runWithTimeout(spark, timeoutSec, s"hmj-w$w") {
@@ -164,9 +166,8 @@ object Experiments {
           case Some((secs, pairs)) => Fig7Row(w, "HMJ", secs, pairs, finished = true)
           case None => Fig7Row(w, "HMJ", timeoutSec.toDouble, -1L, finished = false)
         }
-        df.unpersist()
         Seq(Fig7Row(w, "TSJ", tsjSecs, tsjPairs, finished = true), hmjRow)
-      }
+      })
     }
   }
 

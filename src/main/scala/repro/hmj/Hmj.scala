@@ -1,9 +1,12 @@
 package repro.hmj
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
 import repro.core.{TokenDistances, Tokenized, Tokenizer}
+
+/** A record routed to partition `part`; `home` marks its home partition. */
+private[hmj] final case class HmjRouted(part: Int, home: Boolean, rec: Tokenized)
 
 /** Hybrid Metric Joiner — the paper's in-house metric-space join baseline
   * (Sec. V-E), reconstructed from its description: a hybrid of ClusterJoin
@@ -26,9 +29,6 @@ import repro.core.{TokenDistances, Tokenized, Tokenizer}
   * clusters in the metric space, so partitions are badly balanced and the
   * pairwise work inside partitions dwarfs TSJ's token-domain join.
   */
-/** A record routed to partition `part`; `home` marks its home partition. */
-private[hmj] final case class HmjRouted(part: Int, home: Boolean, rec: Tokenized)
-
 object Hmj {
 
   final case class HmjConfig(
@@ -38,6 +38,8 @@ object Hmj {
       subCentroids: Int = 8,
       seed: Long = 42L) {
     require(t > 0 && t < 1, s"threshold out of range: $t")
+    require(numCentroids >= 1 && subCentroids >= 1,
+      s"centroid counts must be positive: $numCentroids, $subCentroids")
   }
 
   /** NSLD self-join of `accounts` (`id`, `name`): `(id1, id2, nsld)`,
@@ -47,32 +49,34 @@ object Hmj {
 
     val records = Tokenizer.records(accounts)
 
-    // Centroid sample: k records drawn with a seeded shuffle.
-    val centroids: Array[Seq[String]] = records
+    // Centroid sample: k records drawn with a seeded shuffle. With no records
+    // (no name has a token) there are no centroids and nothing to route.
+    val centroids: IndexedSeq[Seq[String]] = records
       .orderBy(xxhash64($"id" + lit(cfg.seed)))
       .limit(cfg.numCentroids)
       .collect()
       .map(_.tokens)
-    require(centroids.nonEmpty, "empty input")
+      .toIndexedSeq
 
     val t = cfg.t
-    val routed: Dataset[HmjRouted] = records.flatMap { r =>
-      val d = centroids.map(c => TokenDistances.nsld(r.tokens, c))
-      var home = 0
-      var i = 1
-      while (i < d.length) { if (d(i) < d(home)) home = i; i += 1 }
-      val dHome = d(home)
-      d.indices.collect {
-        case p if (d(p) - dHome) / 2.0 <= t =>
-          HmjRouted(p, p == home, r)
-      }
-    }
-
-    routed
+    records
+      .flatMap(r => route(r.tokens, centroids, t).map { case (p, home) => HmjRouted(p, home, r) })
       .groupByKey(_.part)
       .flatMapGroups { (_, it) => partitionPairs(it.toArray, cfg) }
       .toDF("id1", "id2", "nsld")
       .distinct()
+  }
+
+  /** The partitions `tokens` is routed to among `centroids`, each flagged
+    * `true` if it is the home: the nearest centroid under NSLD (the first on
+    * ties), plus every centroid `c` with ClusterJoin's
+    * `(d(tokens, c) − d(tokens, home)) / 2 <= t`.
+    */
+  private def route(tokens: Seq[String], centroids: IndexedSeq[Seq[String]],
+                    t: Double): Iterator[(Int, Boolean)] = {
+    val d = centroids.map(c => TokenDistances.nsld(tokens, c))
+    val home = d.indices.minBy(d(_))
+    d.indices.iterator.collect { case p if (d(p) - d(home)) / 2.0 <= t => (p, p == home) }
   }
 
   /** All similar pairs inside one partition. Oversized partitions are
@@ -87,13 +91,8 @@ object Hmj {
       val centroids = rnd.shuffle(recs.toVector).take(cfg.subCentroids).map(_.rec.tokens)
       val buckets = Array.fill(centroids.size)(Vector.newBuilder[HmjRouted])
       recs.foreach { r =>
-        val d = centroids.map(c => TokenDistances.nsld(r.rec.tokens, c))
-        val home = d.indices.minBy(d)
-        val dHome = d(home)
-        d.indices.foreach { p =>
-          if ((d(p) - dHome) / 2.0 <= cfg.t)
-            buckets(p) += r.copy(home = r.home && p == home)
-        }
+        for ((p, home) <- route(r.rec.tokens, centroids, cfg.t))
+          buckets(p) += r.copy(home = r.home && home)
       }
       buckets.iterator.flatMap(b => pairwise(b.result().toArray, cfg.t))
     }

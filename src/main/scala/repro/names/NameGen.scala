@@ -131,14 +131,12 @@ object NameGen {
     * are independent background names over a Zipf-popular vocabulary.
     */
   def corpus(n: Int, seed: Long, ringFraction: Double = 0.3,
-             meanRingSize: Int = 4, vocabSize: Int = 0): Vector[Account] = {
+             meanRingSize: Int = 4): Vector[Account] = {
     val rnd = new Random(seed)
-    // Vocabulary scales with corpus size unless pinned. Zipf(0.8) keeps the
-    // head popular ("John"/"Mary"-like) without one token dominating the
-    // corpus, so the paper's M = 100..1000 cutoff range stays meaningful.
-    val v = if (vocabSize > 0) vocabSize
-            else math.max(300, math.min(30000, n))
-    val voc = vocabulary(v, seed ^ 0x5eed)
+    // Vocabulary scales with corpus size. Zipf(0.8) keeps the head popular
+    // ("John"/"Mary"-like) without one token dominating the corpus, so the
+    // paper's M = 100..1000 cutoff range stays meaningful.
+    val voc = vocabulary(math.max(300, math.min(30000, n)), seed ^ 0x5eed)
     val z = new ZipfSampler(voc.size, 0.8, rnd)
     val out = Vector.newBuilder[Account]
     var id = 0L
@@ -206,12 +204,9 @@ object NameGen {
   }
 
   /** Corpus as a DataFrame `(id: Long, name: String)`. */
-  def corpusDf(spark: SparkSession, n: Int, seed: Long,
-               ringFraction: Double = 0.3, meanRingSize: Int = 4,
-               numPartitions: Int = 0): DataFrame = {
+  def corpusDf(spark: SparkSession, n: Int, seed: Long, numPartitions: Int = 0): DataFrame = {
     import spark.implicits._
-    val data = corpus(n, seed, ringFraction, meanRingSize)
-    val ds = spark.createDataset(data)
+    val ds = spark.createDataset(corpus(n, seed))
     (if (numPartitions > 0) ds.repartition(numPartitions) else ds).toDF()
   }
 }

@@ -44,7 +44,7 @@ object PassJoin {
   def indexChunks(y: String, t: Double): Seq[Chunk] = {
     val len = y.length
     if (len == 0) return Seq.empty
-    val u = Nld.maxLdForLongerLen(len, t)
+    val u = Nld.maxLdFor(len, len, t)
     segmentLayout(len, u + 1).map { case (i, start, l) =>
       Chunk(y.substring(start, start + l), i, len, start, y)
     }
@@ -62,17 +62,17 @@ object PassJoin {
     val out = Seq.newBuilder[Chunk]
     var lenY = lenX
     val maxLenY = Nld.maxLongerLen(lenX, t)
+    // Every lenY up to maxLongerLen passes Lemma 9, as minShorterLen never
+    // decreases.
     while (lenY <= maxLenY) {
-      if (Nld.minShorterLen(lenY, t) <= lenX) {
-        val u = Nld.maxLdForLongerLen(lenY, t)
-        for ((i, segStart, segLen) <- segmentLayout(lenY, u + 1)) {
-          val lo = math.max(0, segStart - u)
-          val hi = math.min(lenX - segLen, segStart + u)
-          var p = lo
-          while (p <= hi) {
-            out += Chunk(x.substring(p, p + segLen), i, lenY, p, x)
-            p += 1
-          }
+      val u = Nld.maxLdFor(lenY, lenY, t)
+      for ((i, segStart, segLen) <- segmentLayout(lenY, u + 1)) {
+        val lo = math.max(0, segStart - u)
+        val hi = math.min(lenX - segLen, segStart + u)
+        var p = lo
+        while (p <= hi) {
+          out += Chunk(x.substring(p, p + segLen), i, lenY, p, x)
+          p += 1
         }
       }
       lenY += 1

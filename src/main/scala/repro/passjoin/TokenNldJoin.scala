@@ -4,7 +4,7 @@ import scala.collection.mutable
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.core.{Levenshtein, Nld}
+import repro.core.Nld
 
 /** In-memory PassJoin NLD self-join over a token space (Sec. III-D).
   *
@@ -46,11 +46,9 @@ object TokenNldJoin {
         // self-join symmetry: equal lengths kept once (probe side is the
         // shorter side by construction, so only equal lengths can duplicate).
         if (x != y && !(x.length == y.length && x > y)) ys += y
-      ys.iterator.flatMap { y =>
-        val maxLd = Nld.maxLdFor(x.length, y.length, t)
-        val ld = Levenshtein.bounded(x, y, maxLd)
-        val d = Nld.fromLd(x.length, y.length, ld)
-        if (ld <= maxLd && d <= t) Some(if (x < y) (x, y, d) else (y, x, d)) else None
+      ys.iterator.collect { case y if Nld.within(x, y, t) =>
+        val d = Nld.nld(x, y)
+        if (x < y) (x, y, d) else (y, x, d)
       }
     }.toSeq
     pairs.toDF("t1", "t2", "nld")

@@ -89,7 +89,7 @@ class NldSpec extends AnyFunSuite {
         val x = randStr(rnd, 12); val y = randStr(rnd, 12)
         if (Nld.nld(x, y) <= t) {
           val longer = math.max(x.length, y.length)
-          assert(Levenshtein.distance(x, y) <= Nld.maxLdForLongerLen(longer, t))
+          assert(Levenshtein.distance(x, y) <= Nld.maxLdFor(longer, longer, t))
         }
       }
     }
@@ -109,7 +109,7 @@ class NldSpec extends AnyFunSuite {
       for (_ <- 1 to 500) {
         val x = randStr(rnd, 12); val y = randStr(rnd, 12)
         if (Nld.nld(x, y) > t) {
-          assert(Levenshtein.distance(x, y) > Nld.ldLowerBoundExclusive(x.length, y.length, t),
+          assert(Levenshtein.distance(x, y) > Nld.maxLdFor(x.length, y.length, t),
                  s"($x, $y)")
         }
       }
@@ -134,12 +134,18 @@ class NldSpec extends AnyFunSuite {
       bound <- Seq(
         "construction" -> (Nld.fromLd(lo, hi, ld) == t),
         "maxLdFor" -> (ld <= Nld.maxLdFor(x.length, y.length, t)),
-        "maxLdForLongerLen" -> (ld <= Nld.maxLdForLongerLen(hi, t)),
+        "maxLdFor(|y|, |y|)" -> (ld <= Nld.maxLdFor(hi, hi, t)),
         "minShorterLen" -> (Nld.minShorterLen(hi, t) <= lo),
         "maxLongerLen" -> (Nld.maxLongerLen(lo, t) >= hi),
       ).collect { case (name, false) => s"$name(t=$t, |x|=$lo, |y|=$hi, LD=$ld)" }
     } yield bound
     assert(missed.isEmpty, missed.mkString("\n", "\n", ""))
+  }
+
+  // PassJoin.probeChunks relies on this to skip a per-length Lemma 9 check.
+  test("minShorterLen never decreases in the longer length (t = 0.025..0.5, lengths <= 400)") {
+    for (i <- ThresholdPairs.Steps; t = ThresholdPairs.t(i); len <- 1 to 400)
+      assert(Nld.minShorterLen(len - 1, t) <= Nld.minShorterLen(len, t), s"t=$t |y|=$len")
   }
 
   test("fromLd is consistent with nld") {

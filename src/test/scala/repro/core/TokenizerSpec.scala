@@ -1,5 +1,8 @@
 package repro.core
 
+import java.text.Normalizer
+import java.util.Locale
+
 import org.scalatest.funsuite.AnyFunSuite
 
 /** Tests for the whitespace+punctuation [[Tokenizer]]. */
@@ -37,6 +40,20 @@ class TokenizerSpec extends AnyFunSuite {
 
   test("unicode letters survive tokenization") {
     assert(Tokenizer.tokenize("josé garcía") == Seq("josé", "garcía"))
+  }
+
+  test("lower-casing does not depend on the default locale") {
+    val saved = Locale.getDefault
+    try {
+      Locale.setDefault(Locale.forLanguageTag("tr-TR"))
+      assert(Tokenizer.tokenize("KIM Ivan") == Seq("kim", "ivan"))
+    } finally Locale.setDefault(saved)
+  }
+
+  test("combining marks stay inside their token") {
+    val decomposed = Normalizer.normalize("Müller", Normalizer.Form.NFD)
+    assert(decomposed.length == 7, "the input must carry a combining diaeresis")
+    assert(Tokenizer.tokenize(decomposed) == Seq(decomposed.toLowerCase(Locale.ROOT)))
   }
 
   test("tokenCount and aggLength match the paper's T and L") {

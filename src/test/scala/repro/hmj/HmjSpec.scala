@@ -61,6 +61,11 @@ class HmjSpec extends SparkSpec {
     assert(rows.length == rows.distinct.length)
   }
 
+  test("HMJ rejects non-positive centroid counts") {
+    intercept[IllegalArgumentException](Hmj.HmjConfig(t = 0.1, numCentroids = 0))
+    intercept[IllegalArgumentException](Hmj.HmjConfig(t = 0.1, subCentroids = 0))
+  }
+
   test("HMJ rejects invalid thresholds") {
     intercept[IllegalArgumentException](Hmj.HmjConfig(t = 0.0))
     intercept[IllegalArgumentException](Hmj.HmjConfig(t = 1.0))

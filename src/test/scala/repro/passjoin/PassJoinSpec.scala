@@ -86,7 +86,7 @@ class PassJoinSpec extends AnyFunSuite {
         val (x, y) = if (a.length <= b.length) (a, b) else (b, a)
         if (x != y && Nld.nld(x, y) <= t) {
           hits += 1
-          val u = Nld.maxLdForLongerLen(y.length, t)
+          val u = Nld.maxLdFor(y.length, y.length, t)
           val index = PassJoin.indexChunks(y, t)
           val probe = PassJoin.probeChunks(x, t)
           val shared = index.exists(ic => probe.exists(pc =>
@@ -102,7 +102,7 @@ class PassJoinSpec extends AnyFunSuite {
   test("indexChunks partitions the token into U+1 segments") {
     val y = "abcdefgh"
     val t = 0.25
-    val u = Nld.maxLdForLongerLen(y.length, t)
+    val u = Nld.maxLdFor(y.length, y.length, t)
     val chunks = PassJoin.indexChunks(y, t)
     assert(chunks.size == u + 1)
     assert(chunks.map(_.chunk).mkString == y)

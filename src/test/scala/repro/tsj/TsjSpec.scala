@@ -5,6 +5,7 @@ import org.apache.spark.sql.DataFrame
 import repro.{Oracle, SparkSpec}
 import repro.core.{Nld, ThresholdPairs}
 import repro.eval.{BruteForce, Experiments}
+import repro.hmj.Hmj
 import repro.names.{Account, NameGen}
 import repro.passjoin.TokenNldJoin
 import repro.tsj.Tsj._
@@ -202,12 +203,29 @@ class TsjSpec extends SparkSpec {
   }
 
   test("a corpus dominated by one popular token collapses under small M") {
+    // At t = 0.2 the six similar pairs, such as "john t121212" and
+    // "john t212121", are linked only through "john".
     val accounts = (0L until 50L).map(i => Account(i, s"john t$i$i$i"))
     val d = df(accounts)
-    val withCutoff = pairsOf(Tsj.selfJoin(spark, d, TsjConfig(0.1, maxTokenFreq = 10)))
-    val noCutoff = pairsOf(Tsj.selfJoin(spark, d, TsjConfig(0.1, maxTokenFreq = NoCutoff)))
+    val withCutoff = pairsOf(Tsj.selfJoin(spark, d, TsjConfig(0.2, maxTokenFreq = 10)))
+    val noCutoff = pairsWithDist(Tsj.selfJoin(spark, d, TsjConfig(0.2, maxTokenFreq = NoCutoff)))
     assert(withCutoff.isEmpty, "all candidate pairs hinge on the popular token")
-    assert(noCutoff.isEmpty || noCutoff.nonEmpty) // sanity: runs fine either way
+    assert(noCutoff.nonEmpty)
+    assert(noCutoff == bruteSet(accounts, 0.2))
+  }
+
+  test("M also removes similar-token links") {
+    // NLD(marianne, mariane) = 0.125. Each pair is linked by the token three
+    // names hold, as their shared token or as the fourth name's similar token.
+    for ((many, one) <- Seq("marianne" -> "mariane", "mariane" -> "marianne")) {
+      val accounts = (Seq.fill(3)(many) :+ one).zipWithIndex
+        .map { case (name, id) => Account(id, name) }
+      val d = df(accounts)
+      val truth = bruteSet(accounts, 0.15)
+      assert(truth.size == 6)
+      assert(pairsOf(Tsj.selfJoin(spark, d, TsjConfig(0.15, maxTokenFreq = 2))).isEmpty, many)
+      assert(pairsWithDist(Tsj.selfJoin(spark, d, TsjConfig(0.15, maxTokenFreq = 3))) == truth, many)
+    }
   }
 
   // --- Edge cases ---
@@ -216,6 +234,20 @@ class TsjSpec extends SparkSpec {
     val accounts = Seq(Account(1, "..."), Account(2, "anna lee"), Account(3, "anna lee"))
     val got = pairsOf(Tsj.selfJoin(spark, df(accounts), TsjConfig(0.1, NoCutoff)))
     assert(got == Set((2L, 3L)))
+  }
+
+  test("TSJ and HMJ return no rows for empty input and for names without tokens") {
+    for (accounts <- Seq(Seq.empty[Account], Seq(Account(1, "..."), Account(2, " - ")))) {
+      val d = df(accounts)
+      val outs = Hmj.selfJoin(spark, d, Hmj.HmjConfig(t = 0.2)) +:
+        (for (matching <- Seq(FuzzyTokenMatching, ExactTokenMatching);
+              dedup <- Seq(GroupingOnOneString, GroupingOnBothStrings))
+         yield Tsj.selfJoin(spark, d, TsjConfig(0.2, matching = matching, dedup = dedup)))
+      for (out <- outs) {
+        assert(out.columns.toSeq == Seq("id1", "id2", "nsld"))
+        assert(out.collect().isEmpty, s"${accounts.size} names")
+      }
+    }
   }
 
   test("identical names are found at distance 0") {
